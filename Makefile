@@ -47,13 +47,15 @@ bench-predict:
 
 # Allocation-regression gate: the warmed NN hot path (Predict/Grad/BatchGrad
 # on both architectures, plus Adam.Step) must stay at 0 allocs/op, the
-# warmed sparse-KM matcher must stay at 0 allocs per Match, and the warmed
-# prediction engine (PredictFutureInto, EvaluateOnRoutine, cache hits) must
-# stay at 0 allocs per call.
+# warmed sparse-KM matcher and the stage-2 candidate sort must stay at 0
+# allocs per call, and the warmed prediction engine (PredictFutureInto,
+# EvaluateOnRoutine, cache hits) must stay at 0 allocs per call. Each gate
+# is named exactly; scripts/gates.sh fails if any named test did not run
+# and pass, so a renamed or deleted gate cannot drop out silently.
 perfcheck:
-	$(GO) test ./internal/nn -run 'AllocFree' -v
-	$(GO) test ./internal/assign -run 'TestMatcherSteadyStateAllocFree|TestMatcherAllocsDoNotGrowWithBatches|TestMatchWarmSteadyStateAllocFree|TestMatchWarmColdPathAllocFree|TestSortPendingAllocFree' -v
-	$(GO) test ./internal/predict -run 'TestPredictFutureIntoZeroAlloc|TestEvaluateOnRoutineZeroAlloc|TestCacheHitZeroAlloc' -v
+	GO=$(GO) scripts/gates.sh ./internal/nn TestSeq2SeqSteadyStateAllocFree TestGRUSeq2SeqSteadyStateAllocFree TestBatchedKernelsSteadyStateAllocFree TestAdamStepAllocFree
+	GO=$(GO) scripts/gates.sh ./internal/assign TestMatcherSteadyStateAllocFree TestMatcherAllocsDoNotGrowWithBatches TestMatchWarmSteadyStateAllocFree TestMatchWarmColdPathAllocFree TestSortPendingAllocFree
+	GO=$(GO) scripts/gates.sh ./internal/predict TestPredictFutureIntoZeroAlloc TestEvaluateOnRoutineZeroAlloc TestCacheHitZeroAlloc
 
 # Benchmark-regression gate: re-run the NN kernel, batch-assignment, and
 # prediction-engine suites and compare against the committed BENCH_nn.json /

@@ -8,8 +8,9 @@ import (
 // warmStream generates a task-grouped edge stream like PPI stage 1 emits:
 // tasks in ascending index order, each with a few worker edges. The first
 // edge pins the weight ceiling so churned ticks keep maxW stable (the warm
-// gate requires it; the Session gets the same stability from pairWeight's
-// bounded range only when the heaviest pair survives).
+// gate requires it; PPI's stage-1 stream across ticks gets the same
+// stability from pairWeight's bounded range only when the heaviest pair
+// survives).
 func warmStream(rng *rand.Rand, nTasks, nWorkers int) []Edge {
 	edges := []Edge{{Task: 0, Worker: 0, Weight: 2}}
 	for t := 0; t < nTasks; t++ {
@@ -26,9 +27,9 @@ func warmStream(rng *rand.Rand, nTasks, nWorkers int) []Edge {
 }
 
 // churnStream rewrites a fraction of the TRAILING task rows in place,
-// keeping the task-grouped order; leading rows stay byte-identical. This is
-// the stream shape the incremental Session produces (clean rows first,
-// dirty rows last), which is what makes prefix-resume effective.
+// keeping the task-grouped order; leading rows stay byte-identical. Churn
+// confined to the trailing rows (clean rows first, dirty rows last) is the
+// stream shape that makes prefix-resume effective.
 func churnStream(rng *rand.Rand, edges []Edge, nWorkers int, frac float64) []Edge {
 	rows := 0
 	for i := range edges {

@@ -50,9 +50,9 @@ type candidate struct {
 
 // cmpCandidate is the stage-2 traversal order: descending confidence with
 // (task, worker) index as the tie-break — a strict total order, so the
-// sorted sequence is unique and, crucially, an incremental merge of
-// surviving and fresh candidates reproduces it exactly. NaN confidence
-// sorts last (after every real value) to keep the comparator consistent.
+// sorted sequence is unique whatever order the rows were collected in. NaN
+// confidence sorts last (after every real value) to keep the comparator
+// consistent.
 func cmpCandidate(a, b candidate) int {
 	an, bn := math.IsNaN(a.conf), math.IsNaN(b.conf)
 	switch {
@@ -100,11 +100,9 @@ type edgeCounters struct {
 	kmCandidates, kmPruned           *obs.Counter
 	greedyCandidates, greedyPruned   *obs.Counter
 
-	// Incremental-engine series: rows the warm-started KM resumed without
-	// re-solving, index cells patched in place by Update, and full index
-	// rebuilds (every from-scratch Build, including churn fallbacks).
+	// Cross-batch series: rows the warm-started KM resumed without
+	// re-solving, and spatial index rebuilds (one per indexed batch).
 	kmWarmRows  *obs.Counter
-	idxPatched  *obs.Counter
 	idxRebuilds *obs.Counter
 }
 
@@ -125,7 +123,6 @@ func edgeCountersFor(reg *obs.Registry) *edgeCounters {
 			greedyCandidates: edges("Greedy", "candidates"),
 			greedyPruned:     edges("Greedy", "pruned"),
 			kmWarmRows:       r.Counter("tamp_km_warm_rows_total"),
-			idxPatched:       r.Counter("tamp_index_patched_cells_total"),
 			idxRebuilds:      r.Counter("tamp_index_rebuilds_total"),
 		}
 	}).(*edgeCounters)

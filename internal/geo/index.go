@@ -33,15 +33,8 @@ import (
 // parallelism level (per-cell buckets are sorted ascending), so consumers
 // that iterate candidates in bucket order stay deterministic.
 //
-// Between full Builds, Update patches the index in place from envelope
-// deltas: only the cells the old and new envelopes cover are re-derived,
-// into an epoch-versioned overlay (one epoch per Build; a Build invalidates
-// every overlay in O(1) by bumping the epoch). Per-tick maintenance cost is
-// therefore proportional to churn, not fleet size.
-//
-// A GridIndex is single-writer: Build and Update must not race with
-// Candidates, but once built or patched, Candidates is safe for concurrent
-// readers.
+// A GridIndex is single-writer: Build must not race with Candidates, but
+// once built, Candidates is safe for concurrent readers.
 type GridIndex struct {
 	bounds      BBox
 	cell        float64
@@ -49,7 +42,7 @@ type GridIndex struct {
 	built       bool
 	oversizeCut float64 // half-extent above which an envelope overflows (frozen per Build)
 
-	n    int // ids tracked (grows via Update; reset by Build)
+	n    int // ids tracked by the last Build
 	envs []BBox
 	has  []bool
 	over []bool // id is on the overflow list, not the grid
@@ -60,28 +53,6 @@ type GridIndex struct {
 	entries []int32
 
 	overflow []int32 // sorted ids visible to every query
-
-	// Epoch-versioned per-cell overlays written by Update: a cell whose
-	// overlayVer matches the current epoch reads its bucket from the arena
-	// instead of the base CSR. Build bumps the epoch, invalidating every
-	// overlay at once without touching them.
-	epoch      uint32
-	overlayVer []uint32
-	overlayOff []int32
-	overlayLen []int32
-	arena      []int32
-
-	// Update scratch (see delta.go).
-	touched   []int32
-	cellStamp []uint32
-	cellLocal []int32
-	stampGen  uint32
-	remStamp  []uint32
-	remGen    uint32
-	addCount  []int32
-	addStart  []int32
-	addList   []int32
-	ovScratch []int32
 }
 
 // maxIndexCells caps the grid resolution so degenerate inputs (one huge
@@ -110,13 +81,11 @@ const maxCoverCells = 2048
 func (ix *GridIndex) Build(ctx context.Context, n, parallelism int, envelope func(i int) (BBox, bool)) error {
 	ix.built = false
 	ix.cols, ix.rows = 0, 0
-	ix.epoch++ // lazily invalidates every overlay from the previous epoch
-	ix.arena = ix.arena[:0]
 	ix.overflow = ix.overflow[:0]
 	ix.n = n
-	ix.envs = growBBox(ix.envs, n)
-	ix.has = growBool(ix.has, n)
-	ix.over = growBool(ix.over, n)
+	ix.envs = grow(ix.envs, n)
+	ix.has = grow(ix.has, n)
+	ix.over = grow(ix.over, n)
 	if n == 0 {
 		ix.built = true
 		return ctx.Err()
@@ -225,19 +194,17 @@ func (ix *GridIndex) Build(ctx context.Context, n, parallelism int, envelope fun
 	}
 	ix.cell, ix.cols, ix.rows = cell, cols, rows
 
-	if err := ix.fillFrozen(ctx, parallelism); err != nil {
+	if err := ix.fill(ctx, parallelism); err != nil {
 		return err
 	}
 	ix.built = true
 	return nil
 }
 
-// fillFrozen classifies overflow membership and fills the CSR buckets under
-// the already-chosen grid geometry (bounds, cell, cols, rows, oversizeCut)
-// from ix.envs/ix.has. Build calls it after geometry selection; the
-// incremental-maintenance property tests call it directly on a clone with
-// frozen geometry to prove Update-patched buckets match a from-scratch fill.
-func (ix *GridIndex) fillFrozen(ctx context.Context, parallelism int) error {
+// fill classifies overflow membership and fills the CSR buckets under the
+// grid geometry (bounds, cell, cols, rows, oversizeCut) Build just chose,
+// from ix.envs/ix.has.
+func (ix *GridIndex) fill(ctx context.Context, parallelism int) error {
 	n := ix.n
 	cols := ix.cols
 
@@ -260,7 +227,7 @@ func (ix *GridIndex) fillFrozen(ctx context.Context, parallelism int) error {
 	// cursors), then sort each bucket ascending so the structure — and every
 	// iteration over it — is identical at any parallelism level.
 	cells := ix.cols * ix.rows
-	ix.counts = growInt32(ix.counts, cells)
+	ix.counts = grow(ix.counts, cells)
 	for i := range ix.counts {
 		ix.counts[i] = 0
 	}
@@ -279,16 +246,16 @@ func (ix *GridIndex) fillFrozen(ctx context.Context, parallelism int) error {
 	}); err != nil {
 		return err
 	}
-	ix.starts = growInt32(ix.starts, cells+1)
+	ix.starts = grow(ix.starts, cells+1)
 	var total int32
 	for i := 0; i < cells; i++ {
 		ix.starts[i] = total
 		total += ix.counts[i]
 	}
 	ix.starts[cells] = total
-	ix.cursors = growInt32(ix.cursors, cells)
+	ix.cursors = grow(ix.cursors, cells)
 	copy(ix.cursors, ix.starts[:cells])
-	ix.entries = growInt32(ix.entries, int(total))
+	ix.entries = grow(ix.entries, int(total))
 	if err := par.ForEach(ctx, n, parallelism, func(i int) error {
 		if !ix.has[i] || ix.over[i] {
 			return nil
@@ -313,17 +280,10 @@ func (ix *GridIndex) fillFrozen(ctx context.Context, parallelism int) error {
 	}); err != nil {
 		return err
 	}
-
-	// Per-cell overlay bookkeeping for the Update path. Freshly covered
-	// cells come from grow zeroed (epoch starts above zero), and stale
-	// values from earlier epochs never match the current one.
-	ix.overlayVer = growUint32(ix.overlayVer, cells)
-	ix.overlayOff = growInt32(ix.overlayOff, cells)
-	ix.overlayLen = growInt32(ix.overlayLen, cells)
 	return nil
 }
 
-// oversized reports whether e belongs on the overflow list under the frozen
+// oversized reports whether e belongs on the overflow list under the chosen
 // geometry: its half-extent is far above the batch mean, or it would occupy
 // more grid cells than the coverage cap allows.
 func (ix *GridIndex) oversized(e BBox) bool {
@@ -343,7 +303,7 @@ func halfExtent(e BBox) float64 {
 
 // Candidates returns the ids whose envelope overlaps the cell containing p,
 // in ascending id order. The result aliases the index's internal storage:
-// it is valid until the next Build or Update and must not be mutated. It is
+// it is valid until the next Build and must not be mutated. It is
 // a superset of the grid-resident ids whose envelope contains p; points
 // outside the indexed bounds clamp to the nearest cell (any extra ids are
 // filtered by the caller's exact predicate). Oversize ids are NOT included —
@@ -358,7 +318,7 @@ func (ix *GridIndex) Candidates(p Point) []int32 {
 
 // Overflow returns the ids held off the grid because their envelopes are
 // oversize, in ascending id order; they are candidates for every query. The
-// result aliases internal storage, valid until the next Build or Update.
+// result aliases internal storage, valid until the next Build.
 func (ix *GridIndex) Overflow() []int32 {
 	if !ix.built {
 		return nil
@@ -378,7 +338,7 @@ func (ix *GridIndex) CellOf(p Point) int {
 }
 
 // Bucket returns cell c's id bucket (ascending, read-only, valid until the
-// next Build or Update). Out-of-range cells — including the -1 CellOf returns
+// next Build). Out-of-range cells — including the -1 CellOf returns
 // for NaN points or a gridless index — yield an empty bucket, so callers can
 // chain CellOf straight into Bucket.
 func (ix *GridIndex) Bucket(c int) []int32 {
@@ -388,13 +348,8 @@ func (ix *GridIndex) Bucket(c int) []int32 {
 	return ix.bucketAt(c)
 }
 
-// bucketAt resolves cell c's bucket through the overlay: a cell patched in
-// the current epoch reads from the arena, everything else from the base CSR.
+// bucketAt returns cell c's slice of the CSR entries.
 func (ix *GridIndex) bucketAt(c int) []int32 {
-	if ix.overlayVer[c] == ix.epoch {
-		off := ix.overlayOff[c]
-		return ix.arena[off : off+ix.overlayLen[c]]
-	}
 	return ix.entries[ix.starts[c]:ix.starts[c+1]]
 }
 
@@ -405,8 +360,8 @@ func (ix *GridIndex) Dims() (cols, rows int) { return ix.cols, ix.rows }
 func (ix *GridIndex) CellSize() float64 { return ix.cell }
 
 // Entries reports the total number of (cell, id) slots in the base CSR,
-// i.e. the index's memory footprint in bucket entries (overlay patches and
-// the overflow list excluded).
+// i.e. the index's memory footprint in bucket entries (the overflow list
+// excluded).
 func (ix *GridIndex) Entries() int {
 	if !ix.built || ix.cols == 0 {
 		return 0
@@ -431,36 +386,12 @@ func finiteBox(b BBox) bool {
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-func growBBox(s []BBox, n int) []BBox {
+// grow returns s resized to n, reallocating only when the capacity is too
+// small. Contents are not preserved: Build writes every slot before reading
+// it.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		ns := make([]BBox, n)
-		copy(ns, s)
-		return ns
-	}
-	return s[:n]
-}
-
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		ns := make([]bool, n)
-		copy(ns, s)
-		return ns
-	}
-	return s[:n]
-}
-
-func growInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growUint32(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		ns := make([]uint32, n)
-		copy(ns, s)
-		return ns
+		return make([]T, n)
 	}
 	return s[:n]
 }
