@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-assign bench-predict perfcheck benchguard chaos cluster cluster-smoke replay fuzz-smoke matrix matrix-check staticcheck fmt fmt-check ci
+.PHONY: all build test race vet bench bench-assign bench-predict perfcheck benchguard chaos cluster cluster-smoke replay fuzz-smoke matrix matrix-check staticcheck fmt fmt-check perfbench ci
 
 all: build test
 
@@ -45,15 +45,16 @@ bench-assign:
 bench-predict:
 	$(GO) run ./cmd/tampbench -predict-json BENCH_predict.json
 
-# Allocation-regression gate: the warmed NN hot path (Predict/Grad/BatchGrad
-# on both architectures, plus Adam.Step) must stay at 0 allocs/op, the
-# warmed sparse-KM matcher and the stage-2 candidate sort must stay at 0
-# allocs per call, and the warmed prediction engine (PredictFutureInto,
-# EvaluateOnRoutine, cache hits) must stay at 0 allocs per call. Each gate
-# is named exactly; scripts/gates.sh fails if any named test did not run
-# and pass, so a renamed or deleted gate cannot drop out silently.
+# Allocation-regression gate: the warmed NN hot path (Seq2Seq
+# Predict/Grad/BatchLoss/BatchGrad, streamed and batched, plus Adam.Step)
+# must stay at 0 allocs/op, the warmed sparse-KM matcher and the stage-2
+# candidate sort must stay at 0 allocs per call, and the warmed prediction
+# engine (PredictFutureInto, EvaluateOnRoutine, cache hits) must stay at 0
+# allocs per call. Each gate is named exactly; scripts/gates.sh fails if
+# any named test did not run and pass, so a renamed or deleted gate cannot
+# drop out silently.
 perfcheck:
-	GO=$(GO) scripts/gates.sh ./internal/nn TestSeq2SeqSteadyStateAllocFree TestGRUSeq2SeqSteadyStateAllocFree TestBatchedKernelsSteadyStateAllocFree TestAdamStepAllocFree
+	GO=$(GO) scripts/gates.sh ./internal/nn TestSeq2SeqSteadyStateAllocFree TestBatchedKernelsSteadyStateAllocFree TestAdamStepAllocFree
 	GO=$(GO) scripts/gates.sh ./internal/assign TestMatcherSteadyStateAllocFree TestMatcherAllocsDoNotGrowWithBatches TestMatchWarmSteadyStateAllocFree TestMatchWarmColdPathAllocFree TestSortPendingAllocFree
 	GO=$(GO) scripts/gates.sh ./internal/predict TestPredictFutureIntoZeroAlloc TestEvaluateOnRoutineZeroAlloc TestCacheHitZeroAlloc
 
@@ -152,7 +153,13 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# The benchmark harness (perfbench/) is its own Go module that replaces this
+# one with ../, so the root ./... never compiles it. Vet and test it in its
+# own directory, so an API change that breaks the benchmark fails here.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # The local mirror of the blocking CI jobs: everything here must pass before
 # a push (the race, perfcheck, and chaos jobs run in CI too, split out for
 # wall-clock; run them directly when touching concurrency or the NN kernels).
-ci: build vet fmt-check test
+ci: build vet fmt-check test perfbench

@@ -31,9 +31,6 @@ type LearningTask struct {
 
 // Config collects every hyperparameter of the meta-learning stack.
 type Config struct {
-	// Arch selects the network architecture: nn.ArchLSTM (default) or
-	// nn.ArchGRU. The meta-learning algorithms are model-agnostic.
-	Arch string
 	// Model architecture sizes.
 	InDim, OutDim, Hidden int
 
@@ -83,11 +80,9 @@ func DefaultConfig(rng *rand.Rand) Config {
 	}
 }
 
-// NewModel constructs a fresh network with the configured architecture.
+// NewModel constructs a fresh LSTM encoder–decoder with the configured
+// sizes.
 func (c Config) NewModel() nn.Model {
-	if c.Arch == nn.ArchGRU {
-		return nn.NewGRUSeq2Seq(c.InDim, c.OutDim, c.Hidden, c.Rng)
-	}
 	return nn.NewSeq2Seq(c.InDim, c.OutDim, c.Hidden, c.Rng)
 }
 

@@ -32,20 +32,6 @@ func TestSeq2SeqSteadyStateAllocFree(t *testing.T) {
 	requireZeroAllocs(t, "Seq2Seq.BatchGrad", func() { m.BatchGrad(batch, loss, grad) })
 }
 
-func TestGRUSeq2SeqSteadyStateAllocFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m := NewGRUSeq2Seq(4, 2, 16, rng)
-	s := randSample(rng, 4, 2, 6, 3)
-	grad := NewVector(m.NumParams())
-	loss := MSE{}
-	batch := []Sample{s, randSample(rng, 4, 2, 6, 3)}
-
-	requireZeroAllocs(t, "GRUSeq2Seq.Predict", func() { m.Predict(s.In, 3) })
-	requireZeroAllocs(t, "GRUSeq2Seq.Grad", func() { m.Grad(s.In, s.Out, loss, grad) })
-	requireZeroAllocs(t, "GRUSeq2SeqBatchLoss", func() { m.BatchLoss(batch, loss) })
-	requireZeroAllocs(t, "GRUSeq2Seq.BatchGrad", func() { m.BatchGrad(batch, loss, grad) })
-}
-
 // TestAdamStepAllocFree pins the optimizer step: after the first call
 // initializes the moment vectors, Step must not allocate.
 func TestAdamStepAllocFree(t *testing.T) {

@@ -215,86 +215,7 @@ func TestBatchGradMixedShapes(t *testing.T) {
 	}
 }
 
-// streamedGRUBatchGrad is the pre-batching GRU BatchGrad path.
-func streamedGRUBatchGrad(m *GRUSeq2Seq, batch []Sample, loss Loss, grad Vector) float64 {
-	grad.Zero()
-	var sum float64
-	for i := range batch {
-		sum += m.Grad(batch[i].In, batch[i].Out, loss, grad)
-	}
-	grad.Scale(1 / float64(len(batch)))
-	return sum / float64(len(batch))
-}
-
-// TestGRUBatchGradMatchesStreamed is the GRU analogue of
-// TestBatchGradMatchesStreamed: batched vs streamed, bit for bit.
-func TestGRUBatchGradMatchesStreamed(t *testing.T) {
-	rng := rand.New(rand.NewSource(402))
-	losses := []Loss{MSE{}, Scaled{Inner: MSE{}, Factor: 2.1}}
-	for trial := 0; trial < 30; trial++ {
-		inDim := 2 + rng.Intn(3)
-		hidden := 3 + rng.Intn(6)
-		seqIn := 1 + rng.Intn(6)
-		seqOut := 1 + rng.Intn(4)
-		size := 2 + rng.Intn(7)
-		loss := losses[trial%len(losses)]
-
-		m := NewGRUSeq2Seq(inDim, 2, hidden, rng)
-		for i := m.outOff; i < len(m.w); i++ {
-			m.w[i] = rng.NormFloat64() * 0.2
-		}
-		batch := randUniformBatch(rng, size, inDim, 2, seqIn, seqOut)
-
-		ref := m.CloneModel().(*GRUSeq2Seq)
-		wantGrad := NewVector(m.NumParams())
-		wantLoss := streamedGRUBatchGrad(ref, batch, loss, wantGrad)
-
-		gotGrad := NewVector(m.NumParams())
-		gotLoss := m.BatchGrad(batch, loss, gotGrad)
-
-		if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
-			t.Fatalf("trial %d: batched loss %v != streamed %v", trial, gotLoss, wantLoss)
-		}
-		for i := range gotGrad {
-			if math.Float64bits(gotGrad[i]) != math.Float64bits(wantGrad[i]) {
-				t.Fatalf("trial %d: grad[%d] = %v != streamed %v",
-					trial, i, gotGrad[i], wantGrad[i])
-			}
-		}
-	}
-}
-
-// TestGRUBatchLossMatchesStreamed checks the batched GRU forward + loss.
-func TestGRUBatchLossMatchesStreamed(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 20; trial++ {
-		inDim := 2 + rng.Intn(3)
-		hidden := 3 + rng.Intn(6)
-		m := NewGRUSeq2Seq(inDim, 2, hidden, rng)
-		for i := m.outOff; i < len(m.w); i++ {
-			m.w[i] = rng.NormFloat64() * 0.2
-		}
-		batch := randUniformBatch(rng, 2+rng.Intn(7), inDim, 2, 1+rng.Intn(6), 1+rng.Intn(4))
-		loss := MSE{}
-
-		single := m.CloneModel().(*GRUSeq2Seq)
-		var want float64
-		for i := range batch {
-			s := &batch[i]
-			preds := single.forward(s.In, len(s.Out))
-			ws := single.ws
-			ws.dPreds = growRows(ws.dPreds, len(s.Out), single.OutDim)
-			want += loss.LossGrad(preds, s.Out, ws.dPreds[:len(s.Out)])
-		}
-		want /= float64(len(batch))
-		got := m.BatchLoss(batch, loss)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("trial %d: batched GRU loss %v != streamed %v", trial, got, want)
-		}
-	}
-}
-
-// TestBatchedKernelsSteadyStateAllocFree gates the batched engines at 0
+// TestBatchedKernelsSteadyStateAllocFree gates the batched kernels at 0
 // allocs/op once the arenas are warm — same contract as the per-sample path.
 func TestBatchedKernelsSteadyStateAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
@@ -305,11 +226,6 @@ func TestBatchedKernelsSteadyStateAllocFree(t *testing.T) {
 	grad := NewVector(m.NumParams())
 	requireZeroAllocs(t, "Seq2Seq.BatchGrad(batched)", func() { m.BatchGrad(batch, loss, grad) })
 	requireZeroAllocs(t, "Seq2Seq.BatchLoss(batched)", func() { m.BatchLoss(batch, loss) })
-
-	g := NewGRUSeq2Seq(4, 2, 16, rng)
-	ggrad := NewVector(g.NumParams())
-	requireZeroAllocs(t, "GRUSeq2Seq.BatchGrad(batched)", func() { g.BatchGrad(batch, loss, ggrad) })
-	requireZeroAllocs(t, "GRUSeq2Seq.BatchLoss(batched)", func() { g.BatchLoss(batch, loss) })
 }
 
 // TestBatchUniform covers the shape guard directly.

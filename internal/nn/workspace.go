@@ -54,22 +54,6 @@ func growLSTMTape(tape []lstmStep, n int, c lstmCell) []lstmStep {
 	return tape
 }
 
-// growGRUTape is the GRU analogue of growLSTMTape.
-func growGRUTape(tape []gruStep, n int, c gruCell) []gruStep {
-	for len(tape) < n {
-		h := c.hidden
-		tape = append(tape, gruStep{
-			xh:    make([]float64, c.in+h),
-			xrh:   make([]float64, c.in+h),
-			z:     make([]float64, h),
-			r:     make([]float64, h),
-			hCand: make([]float64, h),
-			h:     make([]float64, h),
-		})
-	}
-	return tape
-}
-
 // lstmWS is the scratch arena of one Seq2Seq model: encoder/decoder step
 // tapes, prediction and loss-gradient rows, and the backward-pass
 // accumulators. Step tapes grow to the longest sequence seen and are reused
@@ -117,70 +101,6 @@ func newLSTMWS(m *Seq2Seq) *lstmWS {
 func (m *Seq2Seq) workspace() *lstmWS {
 	if m.ws == nil {
 		m.ws = newLSTMWS(m)
-	}
-	return m.ws
-}
-
-// gruScratch holds the gruCell backward-pass intermediates.
-type gruScratch struct {
-	dzPre []float64 // pre-activation grad of the update gate
-	drPre []float64 // pre-activation grad of the reset gate
-	dcPre []float64 // pre-activation grad of the candidate
-	drh   []float64 // grad of r⊙hPrev
-	dxrh  []float64 // packed [dx; d(r⊙hPrev)] of the candidate block
-}
-
-// gruWS is the scratch arena of one GRUSeq2Seq model.
-type gruWS struct {
-	encTape []gruStep
-	decTape []gruStep
-	preds   [][]float64
-	dPreds  [][]float64
-
-	h0   []float64
-	dec0 []float64
-
-	dh, dhPrev []float64 // double-buffered step gradients
-	dy         []float64
-	dNext      []float64
-	dhOut      []float64
-	dxEnc      []float64
-	dxDec      []float64
-	sc         gruScratch
-
-	bws *gruBatchWS // batched-kernel arena (batch_gru.go), lazily built
-}
-
-func newGRUWS(m *GRUSeq2Seq) *gruWS {
-	h := m.Hidden
-	maxIn := m.InDim
-	if m.OutDim > maxIn {
-		maxIn = m.OutDim
-	}
-	return &gruWS{
-		h0:     make([]float64, h),
-		dec0:   make([]float64, m.OutDim),
-		dh:     make([]float64, h),
-		dhPrev: make([]float64, h),
-		dy:     make([]float64, m.OutDim),
-		dNext:  make([]float64, m.OutDim),
-		dhOut:  make([]float64, h),
-		dxEnc:  make([]float64, m.InDim),
-		dxDec:  make([]float64, m.OutDim),
-		sc: gruScratch{
-			dzPre: make([]float64, h),
-			drPre: make([]float64, h),
-			dcPre: make([]float64, h),
-			drh:   make([]float64, h),
-			dxrh:  make([]float64, maxIn+h),
-		},
-	}
-}
-
-// workspace returns the model's arena, building it on first use.
-func (m *GRUSeq2Seq) workspace() *gruWS {
-	if m.ws == nil {
-		m.ws = newGRUWS(m)
 	}
 	return m.ws
 }

@@ -77,15 +77,14 @@ func measure(name string, f func(b *testing.B)) Result {
 	}
 }
 
-// Run executes the hot-path benchmark suite: Predict and Grad for both
-// architectures, plus the Adam step. The workloads mirror the
-// internal/nn benchmarks (hidden 16, seqIn 5, seqOut 1).
+// Run executes the hot-path benchmark suite: Seq2Seq Predict and Grad,
+// plus the Adam step. The workloads mirror the internal/nn benchmarks
+// (hidden 16, seqIn 5, seqOut 1).
 func Run() []Result {
 	newSample := func() nn.Sample {
 		return randSample(rand.New(rand.NewSource(1)), 4, 2, 5, 1)
 	}
 	lstm := nn.NewSeq2Seq(4, 2, 16, rand.New(rand.NewSource(1)))
-	gru := nn.NewGRUSeq2Seq(4, 2, 16, rand.New(rand.NewSource(1)))
 	s := newSample()
 
 	results := []Result{
@@ -101,20 +100,6 @@ func Run() []Result {
 			for i := 0; i < b.N; i++ {
 				grad.Zero()
 				lstm.Grad(s.In, s.Out, nn.MSE{}, grad)
-			}
-		}),
-		measure("GRUSeq2SeqPredict", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				gru.Predict(s.In, 1)
-			}
-		}),
-		measure("GRUSeq2SeqGrad", func(b *testing.B) {
-			grad := nn.NewVector(gru.NumParams())
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				grad.Zero()
-				gru.Grad(s.In, s.Out, nn.MSE{}, grad)
 			}
 		}),
 		measure("AdamStep", func(b *testing.B) {

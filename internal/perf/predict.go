@@ -151,18 +151,15 @@ func predictSpecs() []predictSpec {
 	at := geo.Pt(42, 17)
 	still := []geo.Point{at, at, at, at, at}
 	lstm := nn.NewSeq2Seq(predict.InputDims, 2, 16, rand.New(rand.NewSource(1)))
-	gru := nn.NewGRUSeq2Seq(predict.InputDims, 2, 16, rand.New(rand.NewSource(1)))
 	batch := uniformBatch(3, predictBatch)
 
 	cache := predict.NewForecastCache(0)
 	cache.Forecast(wm, still, predictHorizon) // warm: the steady-state hit is what serving pays
 
-	streamed := func(m interface {
-		Grad([][]float64, [][]float64, nn.Loss, nn.Vector) float64
-	}, grad nn.Vector) {
+	streamed := func(grad nn.Vector) {
 		grad.Zero()
 		for i := range batch {
-			m.Grad(batch[i].In, batch[i].Out, nn.MSE{}, grad)
+			lstm.Grad(batch[i].In, batch[i].Out, nn.MSE{}, grad)
 		}
 		grad.Scale(1 / float64(len(batch)))
 	}
@@ -227,24 +224,7 @@ func predictSpecs() []predictSpec {
 				grad := nn.NewVector(lstm.NumParams())
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					streamed(lstm, grad)
-				}
-			},
-		},
-		{
-			name: "BatchGradGRU_B16",
-			current: func(b *testing.B) {
-				grad := nn.NewVector(gru.NumParams())
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					gru.BatchGrad(batch, nn.MSE{}, grad)
-				}
-			},
-			oracle: func(b *testing.B) {
-				grad := nn.NewVector(gru.NumParams())
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					streamed(gru, grad)
+					streamed(grad)
 				}
 			},
 		},

@@ -32,9 +32,6 @@ type Options struct {
 	WeightedLoss bool
 	// MatchRadius is a of Def. 7 in cells (default 1.5).
 	MatchRadius float64
-	// Arch selects the network architecture: nn.ArchLSTM (default) or
-	// nn.ArchGRU.
-	Arch string
 	// Hidden overrides the recurrent hidden size (default 16).
 	Hidden int
 	// MetaIters overrides meta-training iterations (default 30).
@@ -153,7 +150,6 @@ func Train(ctx context.Context, w *dataset.Workload, opts Options) (*Result, err
 	}
 
 	cfg := meta.DefaultConfig(rng)
-	cfg.Arch = opts.Arch
 	cfg.InDim = InputDims
 	cfg.Hidden = opts.Hidden
 	cfg.MetaIters = opts.MetaIters

@@ -36,6 +36,10 @@ type modelEntry struct {
 
 const bundleFormat = "tamp-predictors-v1"
 
+// bundleArch names the one network a bundle holds, nn.Seq2Seq. Bundles
+// without the field load as that network too.
+const bundleArch = "lstm"
+
 // SaveModels serializes every worker model of the result so the offline
 // stage can train once and the online platform can load predictors without
 // retraining.
@@ -48,15 +52,18 @@ func (r *Result) SaveModels(w io.Writer) error {
 		proto = m
 		break
 	}
-	inDim, outDim, hidden := modelDims(proto.Model)
+	net, ok := proto.Model.(*nn.Seq2Seq)
+	if !ok {
+		return fmt.Errorf("predict: cannot save model type %T", proto.Model)
+	}
 	f := bundleFile{
 		Format: bundleFormat,
-		Arch:   proto.Model.ArchName(),
+		Arch:   bundleArch,
 		SeqIn:  proto.SeqIn,
 		SeqOut: proto.SeqOut,
-		Hidden: hidden,
-		InDim:  inDim,
-		OutDim: outDim,
+		Hidden: net.Hidden,
+		InDim:  net.InDim,
+		OutDim: net.OutDim,
 		Norm:   r.Norm,
 		Models: map[int]modelEntry{},
 	}
@@ -76,14 +83,16 @@ func LoadModels(r io.Reader) (map[int]*WorkerModel, error) {
 	if f.Format != bundleFormat {
 		return nil, fmt.Errorf("predict: unsupported bundle format %q", f.Format)
 	}
+	if f.Arch != "" && f.Arch != bundleArch {
+		return nil, fmt.Errorf("predict: unsupported model arch %q", f.Arch)
+	}
+	if f.InDim <= 0 || f.OutDim <= 0 || f.Hidden <= 0 || f.SeqIn <= 0 || f.SeqOut <= 0 {
+		return nil, fmt.Errorf("predict: invalid bundle dims inDim=%d outDim=%d hidden=%d seqIn=%d seqOut=%d",
+			f.InDim, f.OutDim, f.Hidden, f.SeqIn, f.SeqOut)
+	}
 	out := map[int]*WorkerModel{}
 	for id, e := range f.Models {
-		var m nn.Model
-		if f.Arch == nn.ArchGRU {
-			m = nn.NewGRUSeq2Seq(f.InDim, f.OutDim, f.Hidden, zeroRand())
-		} else {
-			m = nn.NewSeq2Seq(f.InDim, f.OutDim, f.Hidden, zeroRand())
-		}
+		m := nn.NewSeq2Seq(f.InDim, f.OutDim, f.Hidden, zeroRand())
 		if len(e.Weights) != m.NumParams() {
 			return nil, fmt.Errorf("predict: worker %d weight count %d, want %d", id, len(e.Weights), m.NumParams())
 		}
@@ -98,16 +107,4 @@ func LoadModels(r io.Reader) (map[int]*WorkerModel, error) {
 		}
 	}
 	return out, nil
-}
-
-// modelDims extracts the architecture sizes of a known model type.
-func modelDims(m nn.Model) (inDim, outDim, hidden int) {
-	switch t := m.(type) {
-	case *nn.Seq2Seq:
-		return t.InDim, t.OutDim, t.Hidden
-	case *nn.GRUSeq2Seq:
-		return t.InDim, t.OutDim, t.Hidden
-	default:
-		return 0, 0, 0
-	}
 }

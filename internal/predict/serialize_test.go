@@ -3,10 +3,14 @@ package predict
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"github.com/spatialcrowd/tamp/internal/dataset"
+	"github.com/spatialcrowd/tamp/internal/nn"
 )
 
 func TestSaveLoadModelsRoundTrip(t *testing.T) {
@@ -18,6 +22,16 @@ func TestSaveLoadModelsRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := res.SaveModels(&buf); err != nil {
 		t.Fatal(err)
+	}
+	var head struct {
+		Format string `json:"format"`
+		Arch   string `json:"arch"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &head); err != nil {
+		t.Fatal(err)
+	}
+	if head.Format != "tamp-predictors-v1" || head.Arch != "lstm" {
+		t.Fatalf("bundle header format=%q arch=%q, want tamp-predictors-v1/lstm", head.Format, head.Arch)
 	}
 	loaded, err := LoadModels(&buf)
 	if err != nil {
@@ -52,6 +66,42 @@ func TestLoadModelsRejectsGarbage(t *testing.T) {
 		`"models":{"0":{"mr":0.5,"weights":[1,2,3]}}}`
 	if _, err := LoadModels(strings.NewReader(bad)); err == nil {
 		t.Error("expected weight-count error")
+	}
+
+	// Each bundle carries exactly the weight count an LSTM of its dims
+	// has (none for a negative dim), so only the field under test is
+	// wrong.
+	bundle := func(arch string, seqIn, seqOut, hidden, inDim, outDim int) string {
+		w := nn.Vector{}
+		if hidden >= 0 && inDim >= 0 && outDim >= 0 {
+			w = nn.NewVector(nn.NewSeq2Seq(inDim, outDim, hidden, rand.New(rand.NewSource(1))).NumParams())
+		}
+		ws, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf(`{"format":"tamp-predictors-v1",%s"seqIn":%d,"seqOut":%d,"hidden":%d,"inDim":%d,"outDim":%d,`+
+			`"models":{"0":{"mr":0.5,"weights":%s}}}`, arch, seqIn, seqOut, hidden, inDim, outDim, ws)
+	}
+	if _, err := LoadModels(strings.NewReader(bundle(`"arch":"lstm",`, 3, 1, 4, 4, 2))); err != nil {
+		t.Fatalf("valid lstm bundle rejected: %v", err)
+	}
+	if _, err := LoadModels(strings.NewReader(bundle("", 3, 1, 4, 4, 2))); err != nil {
+		t.Fatalf("bundle without arch rejected: %v", err)
+	}
+	for name, in := range map[string]string{
+		"negative hidden": bundle("", 3, 1, -1, 4, 2),
+		"zero dims":       bundle("", 0, 0, 0, 0, 0),
+		"zero inDim":      bundle("", 3, 1, 4, 0, 2),
+		"zero outDim":     bundle("", 3, 1, 4, 4, 0),
+		"zero seqIn":      bundle("", 0, 1, 4, 4, 2),
+		"zero seqOut":     bundle("", 3, 0, 4, 4, 2),
+		"gru arch":        bundle(`"arch":"gru",`, 3, 1, 4, 4, 2),
+		"unknown arch":    bundle(`"arch":"foo",`, 3, 1, 4, 4, 2),
+	} {
+		if _, err := LoadModels(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: expected error", name)
+		}
 	}
 }
 
