@@ -45,16 +45,19 @@ bench-assign:
 bench-predict:
 	$(GO) run ./cmd/tampbench -predict-json BENCH_predict.json
 
-# Allocation-regression gate: the warmed NN hot path (Seq2Seq
+# Allocation and kernel-equivalence gate: the warmed NN hot path (Seq2Seq
 # Predict/Grad/BatchLoss/BatchGrad, streamed and batched, plus Adam.Step)
 # must stay at 0 allocs/op, the warmed sparse-KM matcher and the stage-2
 # candidate sort must stay at 0 allocs per call, and the warmed prediction
 # engine (PredictFutureInto, EvaluateOnRoutine, cache hits) must stay at 0
-# allocs per call. Each gate is named exactly; scripts/gates.sh fails if
-# any named test did not run and pass, so a renamed or deleted gate cannot
-# drop out silently.
+# allocs per call. The two NN equivalence oracles ride along: the fused
+# LSTM kernels must match the preserved scalar reference bit for bit
+# (TestFusedLSTMMatchesReference), and the batched forward must match
+# per-sample Predict (TestBatchForwardMatchesPredict). Each gate is named
+# exactly; scripts/gates.sh fails if any named test did not run and pass,
+# so a renamed or deleted gate cannot drop out silently.
 perfcheck:
-	GO=$(GO) scripts/gates.sh ./internal/nn TestSeq2SeqSteadyStateAllocFree TestBatchedKernelsSteadyStateAllocFree TestAdamStepAllocFree
+	GO=$(GO) scripts/gates.sh ./internal/nn TestSeq2SeqSteadyStateAllocFree TestBatchedKernelsSteadyStateAllocFree TestAdamStepAllocFree TestFusedLSTMMatchesReference TestBatchForwardMatchesPredict
 	GO=$(GO) scripts/gates.sh ./internal/assign TestMatcherSteadyStateAllocFree TestMatcherAllocsDoNotGrowWithBatches TestMatchWarmSteadyStateAllocFree TestMatchWarmColdPathAllocFree TestSortPendingAllocFree
 	GO=$(GO) scripts/gates.sh ./internal/predict TestPredictFutureIntoZeroAlloc TestEvaluateOnRoutineZeroAlloc TestCacheHitZeroAlloc
 

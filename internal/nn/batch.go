@@ -147,12 +147,14 @@ func (m *Seq2Seq) batchWorkspace() *lstmBatchWS {
 
 // batchGates computes one step's gate activations for every sample: row
 // outer, sample inner, so each weight row is loaded once per step instead of
-// once per (sample, step). Samples are processed four at a time with four
-// independent accumulators — each z still reduces in the per-sample order
-// (bias first, then the packed [x; hPrev] sweep in ascending j), but the
-// four serial FP-add chains overlap instead of waiting on one another. This
-// cross-sample ILP, not cache blocking, is where batching beats streaming at
-// production model sizes (the whole weight matrix already fits in L1).
+// once per (sample, step). Samples are processed in pairs against two gate
+// rows at a time, four independent accumulators — each z still reduces in
+// the per-sample order (bias first, then the packed [x; hPrev] sweep in
+// ascending j), but the four serial FP-add chains overlap instead of
+// waiting on one another. This cross-sample ILP, not cache blocking, is
+// where batching beats streaming at production model sizes (the whole
+// weight matrix already fits in L1). An odd last sample goes through
+// gateSums, the single-sample kernel.
 func batchGates(c lstmCell, w Vector, tapes [][]lstmStep, t, S int) {
 	h := c.hidden
 	cols := c.cols()
@@ -183,9 +185,7 @@ func batchGates(c lstmCell, w Vector, tapes [][]lstmStep, t, S int) {
 		}
 		for ; s < S; s++ {
 			st := &tapes[s][t]
-			xh := st.xh[:nin]
-			zi, zf := rowPair1(ri, rf, xh, nin)
-			zg, zo := rowPair1(rg, ro, xh, nin)
+			zi, zf, zg, zo := gateSums(w, h, cols, k, st.xh[:nin])
 			st.i[k] = sigmoid(zi)
 			st.f[k] = sigmoid(zf)
 			st.g[k] = math.Tanh(zg)
@@ -207,18 +207,6 @@ func rowPair2(ra, rb, x0, x1 []float64, nin int) (a0, a1, b0, b1 float64) {
 		a1 += av * v1
 		b0 += bv * v0
 		b1 += bv * v1
-	}
-	return
-}
-
-// rowPair1 is rowPair2 for a single input.
-func rowPair1(ra, rb, x []float64, nin int) (a, b float64) {
-	a, b = ra[nin], rb[nin]
-	rav, rbv := ra[:nin], rb[:nin]
-	for j, av := range rav {
-		v := x[j]
-		a += av * v
-		b += rbv[j] * v
 	}
 	return
 }

@@ -168,19 +168,23 @@ func TestBatchForwardMatchesPredict(t *testing.T) {
 	for i := m.outOff; i < len(m.w); i++ {
 		m.w[i] = rng.NormFloat64() * 0.2
 	}
-	batch := randUniformBatch(rng, 6, 4, 2, 5, 3)
-	seqOut := len(batch[0].Out)
+	// An odd batch size sends its last sample through the single-sample
+	// gate kernel.
+	for _, size := range []int{6, 5} {
+		batch := randUniformBatch(rng, size, 4, 2, 5, 3)
+		seqOut := len(batch[0].Out)
 
-	m.batchForward(batch, len(batch[0].In), seqOut)
-	bw := m.ws.bws
-	single := m.Clone()
-	for s := range batch {
-		want := single.Predict(batch[s].In, seqOut)
-		for t2 := 0; t2 < seqOut; t2++ {
-			for d := 0; d < m.OutDim; d++ {
-				if math.Float64bits(bw.preds[s][t2][d]) != math.Float64bits(want[t2][d]) {
-					t.Fatalf("sample %d pred[%d][%d]: batched %v != single %v",
-						s, t2, d, bw.preds[s][t2][d], want[t2][d])
+		m.batchForward(batch, len(batch[0].In), seqOut)
+		bw := m.ws.bws
+		single := m.Clone()
+		for s := range batch {
+			want := single.Predict(batch[s].In, seqOut)
+			for t2 := 0; t2 < seqOut; t2++ {
+				for d := 0; d < m.OutDim; d++ {
+					if math.Float64bits(bw.preds[s][t2][d]) != math.Float64bits(want[t2][d]) {
+						t.Fatalf("size %d sample %d pred[%d][%d]: batched %v != single %v",
+							size, s, t2, d, bw.preds[s][t2][d], want[t2][d])
+					}
 				}
 			}
 		}

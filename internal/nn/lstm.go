@@ -15,8 +15,15 @@ import "math"
 //
 // Kernels are allocation-free: forward and backward write into
 // caller-provided step/scratch buffers (see workspace.go), and both fuse the
-// x and hPrev passes into a single loop over a packed [x; hPrev] row so each
-// weight row is swept once with hoisted, bounds-check-free slices.
+// x and hPrev passes into a single loop over a packed [x; hPrev] row.
+//
+// The forward reduces the four gate rows (i, f, g, o) of one hidden unit
+// together in one sweep of [x; hPrev] (gateSums), with four independent
+// accumulators, then applies that unit's activations and cell update. Each
+// accumulator still reduces in the order of a one-row-at-a-time loop (bias
+// first, then ascending j), so every pre-activation is bit-identical to it;
+// the four serial FP-add chains, and the exps waiting on them, overlap
+// instead of running back to back.
 type lstmCell struct {
 	in, hidden int
 }
@@ -46,38 +53,36 @@ func (c lstmCell) forward(w Vector, x, hPrev, cPrev []float64, st *lstmStep) {
 	copy(xh, x)
 	copy(xh[c.in:], hPrev)
 	st.cPrev = cPrev
-	for gate := 0; gate < 4; gate++ {
-		var dst []float64
-		switch gate {
-		case 0:
-			dst = st.i
-		case 1:
-			dst = st.f
-		case 2:
-			dst = st.g
-		default:
-			dst = st.o
-		}
-		for k := 0; k < h; k++ {
-			base := (gate*h + k) * cols
-			row := w[base : base+cols]
-			z := row[nin] // bias
-			row = row[:nin]
-			for j, rv := range row {
-				z += rv * xh[j]
-			}
-			if gate == 2 {
-				dst[k] = math.Tanh(z)
-			} else {
-				dst[k] = sigmoid(z)
-			}
-		}
-	}
 	for k := 0; k < h; k++ {
-		st.cNew[k] = st.f[k]*cPrev[k] + st.i[k]*st.g[k]
-		st.tanhC[k] = math.Tanh(st.cNew[k])
-		st.h[k] = st.o[k] * st.tanhC[k]
+		zi, zf, zg, zo := gateSums(w, h, cols, k, xh)
+		i, f, g, o := sigmoid(zi), sigmoid(zf), math.Tanh(zg), sigmoid(zo)
+		st.i[k], st.f[k], st.g[k], st.o[k] = i, f, g, o
+		cNew := f*cPrev[k] + i*g
+		tanhC := math.Tanh(cNew)
+		st.cNew[k] = cNew
+		st.tanhC[k] = tanhC
+		st.h[k] = o * tanhC
 	}
+}
+
+// gateSums returns the pre-activations of hidden unit k's four gate rows
+// against the packed input xh (length in+hidden): one sweep of xh feeds four
+// independent accumulators, each reducing bias first, then ascending j.
+func gateSums(w Vector, h, cols, k int, xh []float64) (zi, zf, zg, zo float64) {
+	nin := len(xh)
+	ri := w[k*cols : k*cols+cols]
+	rf := w[(h+k)*cols : (h+k)*cols+cols]
+	rg := w[(2*h+k)*cols : (2*h+k)*cols+cols]
+	ro := w[(3*h+k)*cols : (3*h+k)*cols+cols]
+	zi, zf, zg, zo = ri[nin], rf[nin], rg[nin], ro[nin]
+	ri, rf, rg, ro = ri[:nin], rf[:nin], rg[:nin], ro[:nin]
+	for j, v := range xh {
+		zi += ri[j] * v
+		zf += rf[j] * v
+		zg += rg[j] * v
+		zo += ro[j] * v
+	}
+	return
 }
 
 // backward accumulates gradients for one step. dh and dc are the gradients

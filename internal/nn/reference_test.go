@@ -7,9 +7,19 @@ import (
 )
 
 // This file preserves the pre-workspace scalar kernels as an executable
-// reference. The fused, allocation-free kernels must produce predictions and
-// gradients identical to these (the tests below assert 1e-9 agreement; in
-// practice the floating-point op order is unchanged, so they match bitwise).
+// reference. The fused, allocation-free kernels keep the floating-point op
+// order of these, so their predictions, loss and gradients must match them
+// bit for bit. The reference carries its own frozen copy of the activation
+// helper, so an edit to the kernels' sigmoid cannot move the oracle with it.
+
+// refSigmoid is a frozen copy of sigmoid (vector.go).
+func refSigmoid(x float64) float64 {
+	if x >= 0 {
+		return 1 / (1 + math.Exp(-x))
+	}
+	e := math.Exp(x)
+	return e / (1 + e)
+}
 
 type refLSTMStep struct {
 	x          []float64
@@ -42,13 +52,13 @@ func refLSTMForward(c lstmCell, w Vector, x, hPrev, cPrev []float64) refLSTMStep
 		gate, idx := r/h, r%h
 		switch gate {
 		case 0:
-			st.i[idx] = sigmoid(z)
+			st.i[idx] = refSigmoid(z)
 		case 1:
-			st.f[idx] = sigmoid(z)
+			st.f[idx] = refSigmoid(z)
 		case 2:
 			st.g[idx] = math.Tanh(z)
 		case 3:
-			st.o[idx] = sigmoid(z)
+			st.o[idx] = refSigmoid(z)
 		}
 	}
 	for k := 0; k < h; k++ {
@@ -200,45 +210,50 @@ func refSeq2SeqGrad(m *Seq2Seq, in, target [][]float64, loss Loss, grad Vector) 
 }
 
 // TestFusedLSTMMatchesReference checks the fused workspace kernels against
-// the preserved pre-refactor implementation: identical predictions, loss,
-// and full-parameter gradients (within 1e-9; op order is unchanged, so the
-// match is expected to be exact).
+// the preserved pre-refactor implementation: bit-identical predictions, loss
+// and full-parameter gradients. Besides random small shapes it covers the
+// production predictor (4 inputs, hidden 16, 5-point window, one step out)
+// and an odd hidden size.
 func TestFusedLSTMMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	type shape struct{ inDim, hidden, seqIn, seqOut int }
+	var shapes []shape
 	for trial := 0; trial < 20; trial++ {
-		inDim := 2 + rng.Intn(3)
-		outDim := 2
-		hidden := 3 + rng.Intn(6)
-		seqIn := 1 + rng.Intn(5)
-		seqOut := 1 + rng.Intn(4)
-		m := NewSeq2Seq(inDim, outDim, hidden, rng)
+		shapes = append(shapes, shape{2 + rng.Intn(3), 3 + rng.Intn(6), 1 + rng.Intn(5), 1 + rng.Intn(4)})
+	}
+	shapes = append(shapes, shape{4, 16, 5, 1}, shape{3, 13, 4, 3})
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for trial, sh := range shapes {
+		const outDim = 2
+		m := NewSeq2Seq(sh.inDim, outDim, sh.hidden, rng)
 		// A non-zero head exercises every backward path.
 		for i := m.outOff; i < len(m.w); i++ {
 			m.w[i] = rng.NormFloat64() * 0.2
 		}
-		s := randSample(rng, inDim, outDim, seqIn, seqOut)
+		s := randSample(rng, sh.inDim, outDim, sh.seqIn, sh.seqOut)
 		loss := MSE{}
 
 		refGrad := NewVector(m.NumParams())
 		refLoss, refPreds := refSeq2SeqGrad(m, s.In, s.Out, loss, refGrad)
 
 		grad := NewVector(m.NumParams())
-		preds := m.Predict(s.In, seqOut)
+		preds := m.Predict(s.In, sh.seqOut)
 		for ti := range refPreds {
 			for d := range refPreds[ti] {
-				if diff := math.Abs(preds[ti][d] - refPreds[ti][d]); diff > 1e-9 {
-					t.Fatalf("trial %d: pred[%d][%d] differs by %g", trial, ti, d, diff)
+				if !same(preds[ti][d], refPreds[ti][d]) {
+					t.Fatalf("trial %d %+v: pred[%d][%d] = %v vs reference %v",
+						trial, sh, ti, d, preds[ti][d], refPreds[ti][d])
 				}
 			}
 		}
 		gotLoss := m.Grad(s.In, s.Out, loss, grad)
-		if math.Abs(gotLoss-refLoss) > 1e-9 {
-			t.Fatalf("trial %d: loss %v vs reference %v", trial, gotLoss, refLoss)
+		if !same(gotLoss, refLoss) {
+			t.Fatalf("trial %d %+v: loss %v vs reference %v", trial, sh, gotLoss, refLoss)
 		}
 		for i := range grad {
-			if diff := math.Abs(grad[i] - refGrad[i]); diff > 1e-9 {
-				t.Fatalf("trial %d: grad[%d] = %v vs reference %v (diff %g)",
-					trial, i, grad[i], refGrad[i], diff)
+			if !same(grad[i], refGrad[i]) {
+				t.Fatalf("trial %d %+v: grad[%d] = %v vs reference %v",
+					trial, sh, i, grad[i], refGrad[i])
 			}
 		}
 	}

@@ -254,6 +254,9 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 		adaptLR = 0.002
 	}
 	var deferred []deferredDecision
+	// Per-tick scratch, reused across ticks: neither slice outlives its batch.
+	var pool []*pendingTask
+	var eligible []int
 	for tick := 0; tick < horizonTicks; tick++ {
 		if err := ctx.Err(); err != nil {
 			return m, err
@@ -297,7 +300,7 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 		// Drop expired tasks; collect the live pool. Held tasks (a deferred
 		// decision in flight) stay pending but are kept out of this batch.
 		live := pending[:0]
-		var pool []*pendingTask
+		pool = pool[:0]
 		for _, pt := range pending {
 			if pt.done {
 				continue
@@ -324,7 +327,7 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 		// the autoregressive PredictFuture rollout — fans out on the pool,
 		// each eligible worker filling its own index-addressed slot so the
 		// batch order is parallelism-independent.
-		var eligible []int
+		eligible = eligible[:0]
 		for i := range r.Workload.Workers {
 			wk := &r.Workload.Workers[i]
 			if busyUntil[wk.ID] > tick {
@@ -366,6 +369,7 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 				Speed:  wk.Speed,
 			}
 			// True future path for the acceptance check and the UB oracle.
+			w.Actual = make([]geo.Point, 0, lookahead)
 			for dt := 1; dt <= lookahead; dt++ {
 				w.Actual = append(w.Actual, actualDay.At(tickInDay+dt))
 			}
@@ -397,6 +401,7 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 			if w.Predicted == nil {
 				// No model, or its forecast failed: predict the worker
 				// stays put.
+				w.Predicted = make([]geo.Point, 0, predHorizon)
 				for dt := 0; dt < predHorizon; dt++ {
 					w.Predicted = append(w.Predicted, cur)
 				}
@@ -609,7 +614,7 @@ func recentPoints(day traj.Routine, tickInDay, n int) []geo.Point {
 	if start < 0 {
 		start = 0
 	}
-	var out []geo.Point
+	out := make([]geo.Point, 0, tickInDay-start+1)
 	for t := start; t <= tickInDay; t++ {
 		out = append(out, day.At(t))
 	}
@@ -625,7 +630,7 @@ func faultyReports(f *fault.Injector, workerID int, day traj.Routine, dayIdx, ti
 	if start < 0 {
 		start = 0
 	}
-	var out []geo.Point
+	out := make([]geo.Point, 0, tickInDay-start+1)
 	for t := start; t <= tickInDay; t++ {
 		abs := dayIdx*ticksPerDay + t
 		if f.DropReport(workerID, abs) {
